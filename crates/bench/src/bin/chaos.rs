@@ -1,6 +1,6 @@
 //! Chaos harness: the fault-injection invariants, runnable from CI.
 //!
-//! Three modes, selected by `V6_CHAOS_MODE`:
+//! Six modes, selected by `V6_CHAOS_MODE`:
 //!
 //! * `transient` (default) — runs the pipeline fault-free, then under a
 //!   transient-only fault plan at 1 and `V6_THREADS` workers, and

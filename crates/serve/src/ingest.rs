@@ -50,7 +50,7 @@ use v6chaos::{Chaos, Fault, LossReport, NoChaos};
 use v6hitlist::{HitlistService, NtpCorpus};
 use v6scan::CampaignResult;
 
-use crate::snapshot::{bloom_default, Snapshot};
+use crate::snapshot::{bloom_default, sort_dedup_shards, Snapshot};
 use crate::store::HitlistStore;
 
 const WEEK_SECS: u64 = 7 * 86_400;
@@ -152,18 +152,9 @@ fn normalize(update: PublicationUpdate, shard_bits: u32) -> ShardBatch {
             aliases.extend(prefixes.iter().map(|&p| (p, week as u32)));
         }
     }
-    // Sort each run by (bits, week) then dedup keeping the first entry
-    // of each equal-bits run — i.e. the earliest week within this
-    // update. Runs are independent, so big updates fan the per-shard
-    // sorts out across the v6par pool; the adaptive cutoff keeps the
-    // typical small update inline on this worker thread.
-    let total: usize = per_shard.iter().map(Vec::len).sum();
-    let run_cost = v6par::Cost::per_item_ns(100 * (total / per_shard.len().max(1)).max(1) as u64)
-        .labeled("serve.normalize");
-    v6par::par_for_each_mut(v6par::threads(), &mut per_shard, run_cost, |_, run| {
-        v6par::radix_sort_by_key(run, |&(b, w)| (b, u64::from(w)));
-        run.dedup_by_key(|&mut (b, _)| b);
-    });
+    // Dedup keeps the earliest week within this update; the typical
+    // small update stays inline on this worker thread.
+    sort_dedup_shards(&mut per_shard, "serve.normalize");
     ShardBatch {
         per_shard,
         aliases,

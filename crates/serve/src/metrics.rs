@@ -3,10 +3,12 @@
 //! [`ServeMetrics`] used to be a bag of bespoke relaxed atomics; it is
 //! now a thin facade over a per-store [`v6obs::Registry`] — counters for
 //! every query/publish/ingest event plus latency histograms per query
-//! type and for ingestion batches. Each store owns its own registry (not
-//! the process-global one) so independent stores in one process never
-//! share counters; fetch it with [`ServeMetrics::registry`] for the
-//! deterministic text exposition or a JSON snapshot.
+//! type, for ingestion batches, and per publish stage
+//! (`serve.publish.{validate,persist,swap}_latency`). Each store owns
+//! its own registry (not the process-global one) so independent stores
+//! in one process never share counters; fetch it with
+//! [`ServeMetrics::registry`] for the deterministic text exposition or
+//! a JSON snapshot.
 //!
 //! The approximate-membership front reports its traffic as
 //! `serve.bloom.{hit,miss,false_positive}`: a *hit* filtered an absent
@@ -71,6 +73,9 @@ pub struct ServeMetrics {
     query_latency: [Histogram; 6],
     ingest_batch_latency: Histogram,
     ingest_normalize_latency: Histogram,
+    publish_validate_latency: Histogram,
+    publish_persist_latency: Histogram,
+    publish_swap_latency: Histogram,
 }
 
 impl Default for ServeMetrics {
@@ -102,6 +107,9 @@ impl Default for ServeMetrics {
             ],
             ingest_batch_latency: registry.histogram("serve.ingest.batch_latency"),
             ingest_normalize_latency: registry.histogram("serve.ingest.normalize_latency"),
+            publish_validate_latency: registry.histogram("serve.publish.validate_latency"),
+            publish_persist_latency: registry.histogram("serve.publish.persist_latency"),
+            publish_swap_latency: registry.histogram("serve.publish.swap_latency"),
             registry,
         }
     }
@@ -183,10 +191,24 @@ impl ServeMetrics {
         self.ingest_normalize_latency.record_duration(elapsed);
     }
 
+    /// Records one successful publish's stage times, so a slow publish
+    /// can be attributed to validation, the write-ahead append (zero on
+    /// an in-memory store) or the pointer swap.
+    pub(crate) fn record_publish_stages(
+        &self,
+        validate: Duration,
+        persist: Duration,
+        swap: Duration,
+    ) {
+        self.publish_validate_latency.record_duration(validate);
+        self.publish_persist_latency.record_duration(persist);
+        self.publish_swap_latency.record_duration(swap);
+    }
+
     /// The store-private registry behind these metrics: counters named
     /// `serve.query.*` / `serve.publish.*` / `serve.ingest.*` /
     /// `serve.bloom.*`, the `serve.store.bytes.*` gauges, plus the
-    /// per-query-type and ingest latency histograms.
+    /// per-query-type, ingest and publish-stage latency histograms.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }

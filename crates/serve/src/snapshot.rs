@@ -17,6 +17,15 @@
 //! bloom front ([`crate::bloom::BlockedBloom`], the `V6_BLOOM` toggle)
 //! for cheap "definitely absent" answers, plus a radix trie of aliased
 //! prefixes for longest-prefix alias answers.
+//!
+//! Building and verifying are per-shard work. [`SnapshotBuilder`]
+//! scatters each address into its shard's pending run as it is added;
+//! `build` then sorts and deduplicates every run, builds every [`Shard`]
+//! (run, week column, bloom, aggregates), and [`Snapshot::verify_integrity`]
+//! checks every shard — each step fanned out over the `v6par` pool, one
+//! shard per item. A shard's content is a function of its input alone
+//! and the per-shard checksums and totals are combined in shard order,
+//! so the snapshot is identical at any `V6_THREADS`.
 
 use std::net::Ipv6Addr;
 
@@ -342,6 +351,63 @@ impl Shard {
         self.run.len() * (16 + 4)
     }
 
+    /// Builds shard `index` from its entries sorted by bits and
+    /// deduplicated; returns it with its content checksum.
+    fn from_sorted(index: usize, data: &[(u128, u32)], bloom: bool) -> (Shard, u64) {
+        debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut shard = Shard {
+            first_week: Vec::with_capacity(data.len()),
+            ..Shard::default()
+        };
+        shard.run.lows.reserve_exact(data.len());
+        let mut checksum = 0u64;
+        for &(b, w) in data {
+            shard.run.push(b);
+            shard.first_week.push(w);
+            checksum = fold_addr(checksum, b, w);
+        }
+        if bloom && !data.is_empty() {
+            shard.bloom = Some(BlockedBloom::build(
+                bloom_seed(index),
+                data.iter().map(|&(b, _)| b),
+                data.len(),
+            ));
+        }
+        shard.rebuild_aggregates();
+        (shard, checksum)
+    }
+
+    /// Checks shard `index` of a snapshot with `shard_bits`: run and
+    /// aggregate invariants, every address's shard placement, no bloom
+    /// false negative. Returns the recomputed content checksum, or
+    /// `None` on the first violation.
+    fn verify(&self, index: usize, shard_bits: u32) -> Option<u64> {
+        if !self.run.check_invariants() || self.run.len() != self.first_week.len() {
+            return None;
+        }
+        let agg_total: u64 = self.agg48.iter().map(|&(_, n)| u64::from(n)).sum();
+        let week_total: u64 = self.week_counts.iter().map(|&(_, n)| n).sum();
+        if agg_total != self.run.len() as u64 || week_total != agg_total {
+            return None;
+        }
+        let mut checksum = 0u64;
+        for (b, &w) in self.run.iter().zip(&self.first_week) {
+            if shard48(b, shard_bits) != index {
+                return None;
+            }
+            // A bloom front must never produce a false negative.
+            if self
+                .bloom
+                .as_ref()
+                .is_some_and(|bloom| !bloom.may_contain(b))
+            {
+                return None;
+            }
+            checksum = fold_addr(checksum, b, w);
+        }
+        Some(checksum)
+    }
+
     fn rebuild_aggregates(&mut self) {
         let mask48 = Prefix::mask(48);
         self.agg48.clear();
@@ -404,6 +470,26 @@ fn fold_addr(acc: u64, bits: u128, week: u32) -> u64 {
     v6stream::fold_content(acc, bits, week)
 }
 
+/// The `v6par` cost hint for one item per shard when `total` entries
+/// spread over `shards` shards at `ns_per_entry` each.
+fn per_shard_cost(total: usize, shards: usize, ns_per_entry: u64) -> v6par::Cost {
+    v6par::Cost::per_item_ns(ns_per_entry * (total / shards.max(1)).max(1) as u64)
+}
+
+/// Sorts every per-shard run by `(bits, week)` and drops repeated bits,
+/// keeping the first entry of each — the earliest week. Runs are
+/// independent, so large inputs fan out over the `v6par` pool (cutoff
+/// decisions count under `label`). Returns the entries dropped.
+pub(crate) fn sort_dedup_shards(runs: &mut [Vec<(u128, u32)>], label: &'static str) -> u64 {
+    let before: usize = runs.iter().map(Vec::len).sum();
+    let cost = per_shard_cost(before, runs.len(), 100).labeled(label);
+    v6par::par_for_each_mut(v6par::threads(), runs, cost, |_, run| {
+        v6par::radix_sort_by_key(run, |&(b, w)| (b, u64::from(w)));
+        run.dedup_by_key(|&mut (b, _)| b);
+    });
+    (before - runs.iter().map(Vec::len).sum::<usize>()) as u64
+}
+
 /// Whether snapshots should build a bloom front by default: the
 /// `V6_BLOOM` environment toggle (`1`/`true` enable). Builders can
 /// override explicitly so tests never race on the environment.
@@ -446,9 +532,10 @@ impl Snapshot {
     /// Builds from per-shard `(bits, week)` vectors that are already
     /// sorted by bits and deduplicated, plus `(prefix, week)` alias
     /// registrations. This is the O(n) path the ingestion merger uses;
-    /// the compressed run is assembled directly from the sorted stream,
-    /// never materializing a raw `Vec<u128>`. `bloom` controls whether
-    /// each shard gets an approximate-membership front.
+    /// each shard is built independently on the `v6par` pool, its
+    /// compressed run assembled directly from the sorted stream, never
+    /// materializing a raw `Vec<u128>`. `bloom` controls whether each
+    /// shard gets an approximate-membership front.
     pub(crate) fn from_sorted_parts(
         name: impl Into<String>,
         shard_bits: u32,
@@ -457,29 +544,25 @@ impl Snapshot {
         bloom: bool,
     ) -> Self {
         assert_eq!(shard_data.len(), 1usize << shard_bits);
-        let mut snap = Snapshot::empty(name, 1usize << shard_bits);
-        let mut checksum = 0u64;
-        let mut total = 0u64;
-        let mut max_week = 0u64;
-        for (i, (shard, data)) in snap.shards.iter_mut().zip(shard_data).enumerate() {
-            debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
-            shard.first_week = Vec::with_capacity(data.len());
-            for &(b, w) in data {
-                shard.run.push(b);
-                shard.first_week.push(w);
-                checksum = fold_addr(checksum, b, w);
-                max_week = max_week.max(u64::from(w));
-            }
-            if bloom && !data.is_empty() {
-                shard.bloom = Some(BlockedBloom::build(
-                    bloom_seed(i),
-                    data.iter().map(|&(b, _)| b),
-                    data.len(),
-                ));
-            }
-            total += data.len() as u64;
-            shard.rebuild_aggregates();
-        }
+        let cost = per_shard_cost(shard_data.iter().map(Vec::len).sum(), shard_data.len(), 60)
+            .labeled("serve.shard_build");
+        let built = v6par::par_map_cost(v6par::threads(), shard_data, cost, |i, data| {
+            Shard::from_sorted(i, data, bloom)
+        });
+        let (shards, checksums): (Vec<Shard>, Vec<u64>) = built.into_iter().unzip();
+        let mut snap = Snapshot::empty(name, shards.len());
+        snap.shards = shards;
+        snap.total = snap.shards.iter().map(|s| s.len() as u64).sum();
+        snap.week = snap
+            .shards
+            .iter()
+            .filter_map(|s| s.week_counts.last())
+            .map(|&(w, _)| u64::from(w))
+            .max()
+            .unwrap_or(0);
+        // The checksum fold is a wrapping sum, so per-shard sums combine
+        // exactly.
+        snap.checksum = checksums.into_iter().fold(0, u64::wrapping_add);
         for &(prefix, week) in aliases {
             match prefix.shard48(shard_bits) {
                 Some(i) => {
@@ -492,9 +575,6 @@ impl Snapshot {
                 }
             }
         }
-        snap.total = total;
-        snap.week = max_week;
-        snap.checksum = checksum;
         snap
     }
 
@@ -680,35 +760,15 @@ impl Snapshot {
         {
             return false;
         }
-        let mut checksum = 0u64;
-        let mut total = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if !shard.run.check_invariants() {
-                return false;
-            }
-            if shard.run.len() != shard.first_week.len() {
-                return false;
-            }
-            let agg_total: u64 = shard.agg48.iter().map(|&(_, n)| u64::from(n)).sum();
-            let week_total: u64 = shard.week_counts.iter().map(|&(_, n)| n).sum();
-            if agg_total != shard.run.len() as u64 || week_total != agg_total {
-                return false;
-            }
-            for (b, &w) in shard.run.iter().zip(&shard.first_week) {
-                if shard48(b, self.shard_bits) != i {
-                    return false;
-                }
-                // A bloom front must never produce a false negative.
-                if let Some(bloom) = &shard.bloom {
-                    if !bloom.may_contain(b) {
-                        return false;
-                    }
-                }
-                checksum = fold_addr(checksum, b, w);
-            }
-            total += shard.run.len() as u64;
-        }
-        checksum == self.checksum && total == self.total
+        let total: usize = self.shards.iter().map(Shard::len).sum();
+        let cost = per_shard_cost(total, self.shards.len(), 30).labeled("serve.shard_verify");
+        let checksums = v6par::par_map_cost(v6par::threads(), &self.shards, cost, |i, shard| {
+            shard.verify(i, self.shard_bits)
+        });
+        let checksum = checksums
+            .into_iter()
+            .try_fold(0u64, |acc, c| Some(acc.wrapping_add(c?)));
+        checksum == Some(self.checksum) && total as u64 == self.total
     }
 }
 
@@ -720,7 +780,8 @@ impl Snapshot {
 pub struct SnapshotBuilder {
     name: String,
     shard_bits: u32,
-    pending: Vec<(u128, u32)>,
+    /// Unsorted `(bits, week)` submissions, scattered by shard.
+    pending: Vec<Vec<(u128, u32)>>,
     aliases: Vec<(Prefix, u32)>,
     bloom: Option<bool>,
     quarantined: Vec<u32>,
@@ -736,7 +797,7 @@ impl SnapshotBuilder {
         SnapshotBuilder {
             name: name.into(),
             shard_bits: shard_count.trailing_zeros(),
-            pending: Vec::new(),
+            pending: vec![Vec::new(); shard_count],
             aliases: Vec::new(),
             bloom: None,
             quarantined: Vec::new(),
@@ -776,18 +837,19 @@ impl SnapshotBuilder {
 
     /// Adds one address, first published in `week`.
     pub fn add_address(&mut self, addr: Ipv6Addr, week: u32) {
-        self.pending.push((u128::from(addr), week));
+        self.add_bits(u128::from(addr), week);
     }
 
     /// Adds raw address bits, first published in `week`.
     pub fn add_bits(&mut self, bits: u128, week: u32) {
-        self.pending.push((bits, week));
+        self.pending[shard48(bits, self.shard_bits)].push((bits, week));
     }
 
     /// Adds a whole weekly release.
     pub fn add_week(&mut self, week: u32, addresses: &[Ipv6Addr]) {
-        self.pending
-            .extend(addresses.iter().map(|&a| (u128::from(a), week)));
+        for &a in addresses {
+            self.add_address(a, week);
+        }
     }
 
     /// Registers an aliased prefix (seen from `week` on).
@@ -798,8 +860,9 @@ impl SnapshotBuilder {
     /// Re-adds everything from an existing snapshot (incremental rebuild).
     pub fn merge_snapshot(&mut self, snap: &Snapshot) {
         for shard in &snap.shards {
-            self.pending
-                .extend(shard.iter_bits().zip(shard.first_week.iter().copied()));
+            for (b, &w) in shard.iter_bits().zip(&shard.first_week) {
+                self.add_bits(b, w);
+            }
             for (prefix, &week) in shard.aliases.iter() {
                 self.aliases.push((prefix, week));
             }
@@ -814,26 +877,14 @@ impl SnapshotBuilder {
     /// Builds the snapshot, also returning how many duplicate address
     /// submissions were coalesced.
     pub fn build_counting(mut self) -> (Snapshot, u64) {
-        // Radix-sorting by (bits, week) makes the earliest week the first
-        // entry of each equal-bits run, so dedup-keep-first is
-        // dedup-keep-min. The radix kernel is exact-equivalent to
-        // `sort_unstable` for these integer pairs.
-        v6par::radix_sort_by_key(&mut self.pending, |&(b, w)| (b, u64::from(w)));
-        let before = self.pending.len();
-        self.pending.dedup_by_key(|&mut (b, _)| b);
-        let duplicates = (before - self.pending.len()) as u64;
-
-        let mut shard_data: Vec<Vec<(u128, u32)>> = vec![Vec::new(); 1usize << self.shard_bits];
-        for &(b, w) in &self.pending {
-            shard_data[shard48(b, self.shard_bits)].push((b, w));
-        }
+        let duplicates = sort_dedup_shards(&mut self.pending, "serve.build");
         self.aliases
             .sort_unstable_by_key(|&(p, w)| (p.bits(), p.len(), w));
         self.aliases.dedup_by_key(|&mut (p, _)| p);
         let mut snap = Snapshot::from_sorted_parts(
             self.name,
             self.shard_bits,
-            &shard_data,
+            &self.pending,
             &self.aliases,
             self.bloom.unwrap_or_else(bloom_default),
         );
@@ -998,6 +1049,74 @@ mod tests {
         let mut broken = s;
         broken.total += 1;
         assert!(!broken.verify_integrity());
+    }
+
+    /// Corrupts only the last shard of a snapshot large enough that
+    /// `verify_integrity` checks its shards on the `v6par` pool: each
+    /// corruption must still fail verification and be refused by
+    /// `HitlistStore::publish`.
+    #[test]
+    fn parallel_verify_catches_corruption_in_the_last_shard() {
+        use crate::store::{HitlistStore, PublishError};
+
+        let mut b = SnapshotBuilder::new("large", 8).with_bloom(true);
+        let mut h = 1u64;
+        for _ in 0..1 << 18 {
+            h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29) ^ 0x5eed;
+            let net48 = u128::from(h & 0x3ff);
+            b.add_bits(
+                (0x2001_0db8u128 << 96) | (net48 << 80) | u128::from(h >> 20),
+                (h % 13) as u32,
+            );
+        }
+        let snap = b.build();
+        assert!(snap.verify_integrity());
+        let last = snap.shards.len() - 1;
+        // The recomputed checksum of a shard's content, to keep a
+        // corruption from being caught by the checksum alone.
+        let content = |s: &Snapshot| {
+            s.shards.iter().fold(0u64, |acc, shard| {
+                shard
+                    .iter_bits()
+                    .zip(&shard.first_week)
+                    .fold(acc, |acc, (b, &w)| fold_addr(acc, b, w))
+            })
+        };
+
+        // An address moved into the wrong shard: bump the last /48 key
+        // of the last shard to the next /48, which belongs to shard 0.
+        // The shard's bloom front is dropped (legal on its own) so only
+        // the placement check can catch the moved addresses.
+        let mut wrong_shard = snap.clone();
+        let shard = &mut wrong_shard.shards[last];
+        *shard.run.keys.last_mut().unwrap() += 1 << 16;
+        shard.bloom = None;
+        wrong_shard.checksum = content(&wrong_shard);
+
+        // A cleared bloom bit: the last address now reads as absent.
+        let mut bloom_hole = snap.clone();
+        let shard = &mut bloom_hole.shards[last];
+        let victim = shard.get_bits(shard.len() - 1);
+        shard.bloom.as_mut().unwrap().clear_probe_bit(victim);
+        assert!(!bloom_hole.shards[last]
+            .bloom
+            .as_ref()
+            .unwrap()
+            .may_contain(victim));
+
+        // A drifted week on the last address.
+        let mut drifted = snap.clone();
+        *drifted.shards[last].first_week.last_mut().unwrap() += 1;
+
+        let store = HitlistStore::new("large", 8);
+        for broken in [wrong_shard, bloom_hole, drifted] {
+            assert!(!broken.verify_integrity());
+            assert_eq!(
+                store.publish(broken).unwrap_err(),
+                PublishError::IntegrityFailure
+            );
+        }
+        assert!(store.publish(snap).is_ok());
     }
 
     #[test]

@@ -322,6 +322,7 @@ impl HitlistStore {
         if degraded {
             self.metrics.record_degraded_publish();
         }
+        self.metrics.record_publish_stages(validate, persist, swap);
         Ok(PublishReceipt {
             epoch,
             addresses,
@@ -356,6 +357,11 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         assert!(store.snapshot().contains(addr("2001:db8::1")));
         assert_eq!(store.metrics().publishes(), 1);
+        // The receipt's stage times also land in the store registry.
+        let text = store.metrics().render_text();
+        for stage in ["validate", "persist", "swap"] {
+            assert!(text.contains(&format!("serve.publish.{stage}_latency_count 1\n")));
+        }
     }
 
     #[test]
