@@ -146,9 +146,10 @@ V6HL_SCALE=tiny V6_THREADS=2 V6_TRACE=1 \
 
 echo "== perfbench correctness smoke: every workload answers correctly =="
 # One short run per benchmark workload; its last line must report every
-# answer checked correct and no failed operation.
+# answer checked correct and no failed operation. `--locked` fails the
+# run when a dependency edit would rewrite perfbench/Cargo.lock.
 for w in read-engine read-wire publish-churn pipeline; do
-  last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  last=$(cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload "$w" --seconds 1 --seed 7 --trace 0 | tail -1)
   if ! grep -q '"correct":true' <<<"$last" || ! grep -q '"failed":0,' <<<"$last"; then
     echo "FAIL: perfbench $w: $last"

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use v6obs::{Counter, MetricsSnapshot, Registry};
 use v6serve::persist::{flatten_snapshot, snapshot_from_state};
-use v6serve::{HitlistStore, PublishError, RecoverError, Snapshot, StoreConfig};
+use v6serve::{query, HitlistStore, PublishError, RecoverError, Snapshot, StoreConfig};
 use v6store::format::AliasEntry;
 use v6store::replica::{self, DeltaRecord};
 use v6store::{EpochState, EpochView};
@@ -714,13 +714,17 @@ impl Node {
                 shard_missing: false,
             },
             Some(replica) => {
+                // The read protocol carries no alias cover, so the
+                // replica skips `lookup_in`'s alias walk and answers
+                // from the shared single probe alone.
                 let snap = replica.store.snapshot();
                 let addr = Ipv6Addr::from(bits);
+                let first_week = query::first_week_in(&snap, addr, None);
                 ReplMsg::ReadResp {
                     req_id,
                     epoch: snap.epoch(),
-                    present: snap.contains(addr),
-                    first_week: snap.first_week(addr),
+                    present: first_week.is_some(),
+                    first_week,
                     shard_missing: snap.shard_missing(addr),
                 }
             }

@@ -663,9 +663,12 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.epoch(), 3);
         // Re-published address keeps its first week.
-        assert_eq!(snap.first_week(addr("2001:db8:1::1")), Some(0));
-        assert_eq!(snap.first_week(addr("2001:db8:3::1")), Some(1));
-        assert!(snap.is_aliased(addr("2001:db8:3::42")));
+        let week = |a: &str| crate::query::lookup_in(&snap, addr(a), None).first_week;
+        assert_eq!(week("2001:db8:1::1"), Some(0));
+        assert_eq!(week("2001:db8:3::1"), Some(1));
+        assert!(crate::query::lookup_in(&snap, addr("2001:db8:3::42"), None)
+            .alias
+            .is_some());
         assert!(snap.verify_integrity());
         assert!(!snap.is_degraded());
     }
@@ -687,7 +690,8 @@ mod tests {
         let stats = handle.finish();
         assert_eq!(stats.unique_addresses, 1);
         // Both observations are week 0 / week 1; earliest wins.
-        assert_eq!(store.snapshot().first_week(addr("2001:db8::1")), Some(0));
+        let ans = crate::query::lookup_in(&store.snapshot(), addr("2001:db8::1"), None);
+        assert_eq!(ans.first_week, Some(0));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   briefly held write lock, so reads never block on ingestion.
 //! - [`ingest`] — bounded-channel worker pipeline turning campaign and
 //!   passive-corpus publications into snapshots off the serving threads.
-//! - [`query`] — the typed query API served from any snapshot.
+//! - [`query`] — the `*_in` answer functions every read path calls on a
+//!   held snapshot, and the [`QueryEngine`] timing them.
 //! - [`stream`] — the bridge to [`v6stream`]: a [`StreamAnalytics`]
 //!   handle kept current from publishes or a tailed epoch log, powering
 //!   the windowed `moved_between`/`entropy_shift` queries.

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use v6obs::{Counter, Gauge, Histogram, Registry};
 
-/// Which query-latency histogram a call records into.
+/// Which query type a call counts and times as.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum QueryKind {
     /// `contains` / `contains_unaliased`.
@@ -55,12 +55,7 @@ pub(crate) enum QueryKind {
 #[derive(Debug)]
 pub struct ServeMetrics {
     registry: Arc<Registry>,
-    membership: Counter,
-    lookups: Counter,
-    density: Counter,
-    diffs: Counter,
-    windows: Counter,
-    batches: Counter,
+    queries: [Counter; 6],
     batch_addresses: Counter,
     publishes: Counter,
     degraded_publishes: Counter,
@@ -82,12 +77,14 @@ impl Default for ServeMetrics {
     fn default() -> Self {
         let registry = Arc::new(Registry::new());
         ServeMetrics {
-            membership: registry.counter("serve.query.membership"),
-            lookups: registry.counter("serve.query.lookups"),
-            density: registry.counter("serve.query.density"),
-            diffs: registry.counter("serve.query.diffs"),
-            windows: registry.counter("serve.query.windows"),
-            batches: registry.counter("serve.query.batches"),
+            queries: [
+                registry.counter("serve.query.membership"),
+                registry.counter("serve.query.lookups"),
+                registry.counter("serve.query.density"),
+                registry.counter("serve.query.diffs"),
+                registry.counter("serve.query.windows"),
+                registry.counter("serve.query.batches"),
+            ],
             batch_addresses: registry.counter("serve.query.batch_addresses"),
             publishes: registry.counter("serve.publish.epochs"),
             degraded_publishes: registry.counter("serve.publish.degraded"),
@@ -116,28 +113,12 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
-    pub(crate) fn record_membership(&self) {
-        self.membership.inc();
-    }
-
-    pub(crate) fn record_lookup(&self) {
-        self.lookups.inc();
-    }
-
-    pub(crate) fn record_density(&self) {
-        self.density.inc();
-    }
-
-    pub(crate) fn record_diff(&self) {
-        self.diffs.inc();
-    }
-
-    pub(crate) fn record_window(&self) {
-        self.windows.inc();
+    pub(crate) fn record_query(&self, kind: QueryKind) {
+        self.queries[kind as usize].inc();
     }
 
     pub(crate) fn record_batch(&self, addresses: u64) {
-        self.batches.inc();
+        self.record_query(QueryKind::Batch);
         self.batch_addresses.add(addresses);
     }
 
@@ -221,12 +202,8 @@ impl ServeMetrics {
 
     /// Queries served so far (batched addresses counted individually).
     pub fn queries_total(&self) -> u64 {
-        self.membership.get()
-            + self.lookups.get()
-            + self.density.get()
-            + self.diffs.get()
-            + self.windows.get()
-            + self.batch_addresses.get()
+        let batches = self.queries[QueryKind::Batch as usize].get();
+        self.queries.iter().map(Counter::get).sum::<u64>() - batches + self.batch_addresses.get()
     }
 
     /// Epochs published so far.
@@ -248,8 +225,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = ServeMetrics::default();
-        m.record_membership();
-        m.record_lookup();
+        m.record_query(QueryKind::Membership);
+        m.record_query(QueryKind::Lookup);
         m.record_batch(16);
         m.record_publish();
         let snap = m.registry().snapshot();
@@ -297,7 +274,7 @@ mod tests {
     #[test]
     fn registry_exposition_matches_counters() {
         let m = ServeMetrics::default();
-        m.record_membership();
+        m.record_query(QueryKind::Membership);
         m.record_ingested(100);
         m.record_query_latency(QueryKind::Membership, Duration::from_micros(3));
         let snap = m.registry().snapshot();

@@ -1,10 +1,15 @@
-//! The typed query API served from the store's current snapshot.
+//! The typed query API.
 //!
-//! Every call clones the current snapshot `Arc` once and answers from
-//! that immutable view, so a single call is always internally consistent
-//! even while a new epoch is being published. Batched lookups extend the
-//! same guarantee to a whole batch: all its addresses are resolved
-//! against one epoch.
+//! The `*_in` functions are the only code that turns a held
+//! [`Snapshot`] (or [`StreamAnalytics`]) into an answer; the
+//! [`QueryEngine`], the `v6wire` front door and `v6cluster` replica
+//! reads all call them. Given a [`ServeMetrics`], a call counts in
+//! `serve.query.<kind>` and `serve.bloom.*`; given `None`, it records
+//! nothing.
+//!
+//! A [`QueryEngine`] call answers from one clone of the current
+//! snapshot `Arc`, so it stays consistent while a new epoch is being
+//! published; a batch resolves every address against one epoch.
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -13,7 +18,7 @@ use std::time::Instant;
 use v6addr::Prefix;
 
 use crate::metrics::{QueryKind, ServeMetrics};
-use crate::snapshot::{Membership, ServeStatus, Snapshot};
+use crate::snapshot::{Membership, ServeStatus, Shard, Snapshot};
 use crate::store::HitlistStore;
 use crate::stream::StreamAnalytics;
 
@@ -52,6 +57,134 @@ pub struct BatchAnswer {
 /// one network before the window that surfaced in another inside it.
 pub type MovedAnswer = v6stream::Move;
 
+/// Records into `metrics` when given; `None` records nothing.
+fn note(metrics: Option<&ServeMetrics>, record: impl FnOnce(&ServeMetrics)) {
+    if let Some(m) = metrics {
+        record(m);
+    }
+}
+
+/// One membership probe through `shard`'s bloom front (`serve.bloom.*`).
+fn probe(shard: &Shard, addr: Ipv6Addr, metrics: Option<&ServeMetrics>) -> Membership {
+    let outcome = shard.membership_bits(u128::from(addr));
+    note(metrics, |m| m.record_bloom(outcome));
+    outcome
+}
+
+/// First-published week of `addr` (`None` = absent) from one probe, not
+/// a membership search plus a week search. Counts only in `serve.bloom.*`.
+pub fn first_week_in(
+    snap: &Snapshot,
+    addr: Ipv6Addr,
+    metrics: Option<&ServeMetrics>,
+) -> Option<u32> {
+    let shard = snap.shard_for(addr);
+    match probe(shard, addr, metrics) {
+        Membership::Present { rank, .. } => Some(shard.first_week_at(rank)),
+        _ => None,
+    }
+}
+
+/// The single-address answer; callers count it as a lookup or a batch.
+fn answer(snap: &Snapshot, addr: Ipv6Addr, metrics: Option<&ServeMetrics>) -> LookupAnswer {
+    let first_week = first_week_in(snap, addr, metrics);
+    LookupAnswer {
+        present: first_week.is_some(),
+        first_week,
+        alias: snap.shard_for(addr).longest_alias(addr),
+        epoch: snap.epoch(),
+        degraded: snap.shard_missing(addr),
+    }
+}
+
+/// Exact membership through the bloom front (`V6_BLOOM`), if built.
+/// Counts in `serve.query.membership`.
+pub fn membership_in(snap: &Snapshot, addr: Ipv6Addr, metrics: Option<&ServeMetrics>) -> bool {
+    note(metrics, |m| m.record_query(QueryKind::Membership));
+    probe(snap.shard_for(addr), addr, metrics).is_present()
+}
+
+/// Alias-filtered membership: present *and* not under an aliased
+/// prefix — the set scanners should actually target (§2.2). Counts in
+/// `serve.query.membership`.
+pub fn unaliased_in(snap: &Snapshot, addr: Ipv6Addr, metrics: Option<&ServeMetrics>) -> bool {
+    note(metrics, |m| m.record_query(QueryKind::Membership));
+    let shard = snap.shard_for(addr);
+    probe(shard, addr, metrics).is_present() && shard.longest_alias(addr).is_none()
+}
+
+/// Full lookup: membership, first-published week, alias cover and the
+/// degraded label, from one probe. Counts in `serve.query.lookups`.
+pub fn lookup_in(snap: &Snapshot, addr: Ipv6Addr, metrics: Option<&ServeMetrics>) -> LookupAnswer {
+    note(metrics, |m| m.record_query(QueryKind::Lookup));
+    answer(snap, addr, metrics)
+}
+
+/// Resolves a whole batch against `snap`. Counts in
+/// `serve.query.{batches,batch_addresses}`.
+pub fn batch_in<I>(snap: &Snapshot, addrs: I, metrics: Option<&ServeMetrics>) -> BatchAnswer
+where
+    I: IntoIterator<Item = Ipv6Addr>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let addrs = addrs.into_iter();
+    note(metrics, |m| m.record_batch(addrs.len() as u64));
+    let mut present = 0u64;
+    let mut aliased = 0u64;
+    let answers: Vec<LookupAnswer> = addrs
+        .map(|a| {
+            let ans = answer(snap, a, metrics);
+            present += u64::from(ans.present);
+            aliased += u64::from(ans.alias.is_some());
+            ans
+        })
+        .collect();
+    BatchAnswer {
+        epoch: snap.epoch(),
+        status: snap.status(),
+        answers,
+        present,
+        aliased,
+    }
+}
+
+/// Published addresses inside `prefix`. Counts in `serve.query.density`.
+pub fn count_within_in(snap: &Snapshot, prefix: &Prefix, metrics: Option<&ServeMetrics>) -> u64 {
+    note(metrics, |m| m.record_query(QueryKind::Density));
+    snap.count_within(prefix)
+}
+
+/// Addresses first published after week `week`. Counts in `serve.query.diffs`.
+pub fn new_since_in(snap: &Snapshot, week: u64, metrics: Option<&ServeMetrics>) -> u64 {
+    note(metrics, |m| m.record_query(QueryKind::Diff));
+    snap.new_since(week)
+}
+
+/// Devices that moved /64 during `(w0, w1]` (see
+/// [`QueryEngine::moved_between`]). Counts in `serve.query.windows`.
+pub fn moved_between_in(
+    analytics: &StreamAnalytics,
+    w0: u32,
+    w1: u32,
+    metrics: Option<&ServeMetrics>,
+) -> Vec<MovedAnswer> {
+    note(metrics, |m| m.record_query(QueryKind::Window));
+    analytics.moved_between(w0, w1)
+}
+
+/// Entropy-distribution shift of AS `as_index` across `w0` (see
+/// [`QueryEngine::entropy_shift`]). Counts in `serve.query.windows`.
+pub fn entropy_shift_in(
+    analytics: &StreamAnalytics,
+    as_index: u16,
+    w0: u32,
+    w1: u32,
+    metrics: Option<&ServeMetrics>,
+) -> Option<u32> {
+    note(metrics, |m| m.record_query(QueryKind::Window));
+    analytics.entropy_shift(as_index, w0, w1)
+}
+
 /// A cheaply cloneable handle answering queries from a [`HitlistStore`].
 #[derive(Clone)]
 pub struct QueryEngine {
@@ -59,25 +192,6 @@ pub struct QueryEngine {
     /// Streaming operators answering the windowed query family;
     /// `None` until attached with [`QueryEngine::with_analytics`].
     analytics: Option<Arc<StreamAnalytics>>,
-}
-
-fn lookup_in(snap: &Snapshot, addr: Ipv6Addr, metrics: &ServeMetrics) -> LookupAnswer {
-    let shard = snap.shard_for(addr);
-    // One bloom-fronted probe resolves membership *and* the first-week
-    // rank; the old path paid two independent binary searches.
-    let outcome = shard.membership_bits(u128::from(addr));
-    metrics.record_bloom(outcome);
-    let first_week = match outcome {
-        Membership::Present { rank, .. } => Some(shard.first_week_at(rank)),
-        _ => None,
-    };
-    LookupAnswer {
-        present: first_week.is_some(),
-        first_week,
-        alias: shard.longest_alias(addr),
-        epoch: snap.epoch(),
-        degraded: snap.shard_missing(addr),
-    }
 }
 
 impl QueryEngine {
@@ -107,14 +221,17 @@ impl QueryEngine {
         &self.store
     }
 
-    /// Runs `f`, recording its wall time into the per-query-type latency
-    /// histogram (`serve.query.latency.*`).
-    fn timed<T>(&self, kind: QueryKind, f: impl FnOnce() -> T) -> T {
+    /// Runs `f` on the current snapshot, timing it into
+    /// `serve.query.latency.*`.
+    fn timed<T>(
+        &self,
+        kind: QueryKind,
+        f: impl FnOnce(&Snapshot, Option<&ServeMetrics>) -> T,
+    ) -> T {
         let started = Instant::now();
-        let out = f();
-        self.store
-            .metrics()
-            .record_query_latency(kind, started.elapsed());
+        let metrics = self.store.metrics();
+        let out = f(&self.store.snapshot(), Some(metrics));
+        metrics.record_query_latency(kind, started.elapsed());
         out
     }
 
@@ -123,52 +240,30 @@ impl QueryEngine {
         self.store.snapshot().status()
     }
 
-    /// Exact membership, served through the snapshot's approximate
-    /// front when one was built (`V6_BLOOM`): a bloom "definitely
-    /// absent" answers without touching the compressed tier, and every
-    /// probe's outcome lands in the `serve.bloom.*` counters.
+    /// Exact membership (see [`membership_in`]).
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
-        self.store.metrics().record_membership();
-        self.timed(QueryKind::Membership, || {
-            let outcome = self.store.snapshot().membership(addr);
-            self.store.metrics().record_bloom(outcome);
-            outcome.is_present()
-        })
+        self.timed(QueryKind::Membership, |s, m| membership_in(s, addr, m))
     }
 
-    /// Alias-filtered membership: present *and* not under an aliased
-    /// prefix — the set scanners should actually target (§2.2).
+    /// Alias-filtered membership (see [`unaliased_in`]).
     pub fn contains_unaliased(&self, addr: Ipv6Addr) -> bool {
-        self.store.metrics().record_membership();
-        self.timed(QueryKind::Membership, || {
-            let snap = self.store.snapshot();
-            let outcome = snap.membership(addr);
-            self.store.metrics().record_bloom(outcome);
-            outcome.is_present() && !snap.is_aliased(addr)
-        })
+        self.timed(QueryKind::Membership, |s, m| unaliased_in(s, addr, m))
     }
 
     /// Full lookup: membership, first-published week, and alias cover.
     pub fn lookup(&self, addr: Ipv6Addr) -> LookupAnswer {
-        self.store.metrics().record_lookup();
-        self.timed(QueryKind::Lookup, || {
-            lookup_in(&self.store.snapshot(), addr, self.store.metrics())
-        })
+        self.timed(QueryKind::Lookup, |s, m| lookup_in(s, addr, m))
     }
 
     /// Published addresses inside `prefix` (per-/48 density and coarser).
     pub fn count_within(&self, prefix: &Prefix) -> u64 {
-        self.store.metrics().record_density();
-        self.timed(QueryKind::Density, || {
-            self.store.snapshot().count_within(prefix)
-        })
+        self.timed(QueryKind::Density, |s, m| count_within_in(s, prefix, m))
     }
 
     /// Addresses first published after study week `week` — the
     /// snapshot-answered member of the "diffs" query family.
     pub fn new_since(&self, week: u64) -> u64 {
-        self.store.metrics().record_diff();
-        self.timed(QueryKind::Diff, || self.store.snapshot().new_since(week))
+        self.timed(QueryKind::Diff, |s, m| new_since_in(s, week, m))
     }
 
     /// EUI-64 devices that inhabited some /64 at or before week `w0`
@@ -178,8 +273,9 @@ impl QueryEngine {
     /// analytics.
     pub fn moved_between(&self, w0: u32, w1: u32) -> Option<Vec<MovedAnswer>> {
         let analytics = self.analytics.as_ref()?;
-        self.store.metrics().record_window();
-        Some(self.timed(QueryKind::Window, || analytics.moved_between(w0, w1)))
+        Some(self.timed(QueryKind::Window, |_, m| {
+            moved_between_in(analytics, w0, w1, m)
+        }))
     }
 
     /// Entropy-distribution shift (total-variation, per-mille) of AS
@@ -188,36 +284,16 @@ impl QueryEngine {
     /// `None` when either window side holds no attributed addresses.
     pub fn entropy_shift(&self, as_index: u16, w0: u32, w1: u32) -> Option<Option<u32>> {
         let analytics = self.analytics.as_ref()?;
-        self.store.metrics().record_window();
-        Some(self.timed(QueryKind::Window, || {
-            analytics.entropy_shift(as_index, w0, w1)
+        Some(self.timed(QueryKind::Window, |_, m| {
+            entropy_shift_in(analytics, as_index, w0, w1, m)
         }))
     }
 
     /// Resolves a whole batch against a single epoch. Latency is sampled
     /// once per batch, not per address.
     pub fn batch_lookup(&self, addrs: &[Ipv6Addr]) -> BatchAnswer {
-        self.store.metrics().record_batch(addrs.len() as u64);
-        self.timed(QueryKind::Batch, || {
-            let snap = self.store.snapshot();
-            let mut present = 0u64;
-            let mut aliased = 0u64;
-            let answers: Vec<LookupAnswer> = addrs
-                .iter()
-                .map(|&a| {
-                    let ans = lookup_in(&snap, a, self.store.metrics());
-                    present += u64::from(ans.present);
-                    aliased += u64::from(ans.alias.is_some());
-                    ans
-                })
-                .collect();
-            BatchAnswer {
-                epoch: snap.epoch(),
-                status: snap.status(),
-                answers,
-                present,
-                aliased,
-            }
+        self.timed(QueryKind::Batch, |s, m| {
+            batch_in(s, addrs.iter().copied(), m)
         })
     }
 }

@@ -284,11 +284,6 @@ impl Shard {
         self.run.get(i)
     }
 
-    /// Exact membership of an address (by bits), bypassing any bloom front.
-    pub fn contains_bits(&self, bits: u128) -> bool {
-        self.run.rank(bits).is_some()
-    }
-
     /// Bloom-fronted membership probe: consults the approximate front
     /// first when one was built, then the exact tier only if needed.
     pub fn membership_bits(&self, bits: u128) -> Membership {
@@ -310,11 +305,6 @@ impl Shard {
         }
     }
 
-    /// The week an address was first published, if present.
-    pub fn first_week_of(&self, bits: u128) -> Option<u32> {
-        self.run.rank(bits).map(|i| self.first_week[i])
-    }
-
     /// First-published week at a global rank (as returned by
     /// [`Membership::Present`] or [`CompressedRun::rank`]).
     ///
@@ -327,14 +317,6 @@ impl Shard {
     /// Longest aliased prefix covering `addr`, if any.
     pub fn longest_alias(&self, addr: Ipv6Addr) -> Option<Prefix> {
         self.aliases.longest_match(addr).map(|(p, _)| p)
-    }
-
-    /// Addresses published in this shard's /48 with the given network bits.
-    pub fn count48(&self, net48: u128) -> u64 {
-        self.agg48
-            .binary_search_by_key(&net48, |&(net, _)| net)
-            .map(|i| u64::from(self.agg48[i].1))
-            .unwrap_or(0)
     }
 
     /// Heap bytes of the address columns as stored (compressed run +
@@ -657,14 +639,9 @@ impl Snapshot {
         &self.shards[shard48(u128::from(addr), self.shard_bits)]
     }
 
-    /// Exact membership.
-    pub fn contains(&self, addr: Ipv6Addr) -> bool {
-        self.shard_for(addr).contains_bits(u128::from(addr))
-    }
-
-    /// Bloom-fronted membership probe (see [`Membership`]); answers are
-    /// identical to [`Snapshot::contains`], the variants additionally
-    /// carry what the approximate front observed.
+    /// Bloom-fronted membership probe (see [`Membership`]): exact
+    /// answers, whose variants also carry what the approximate front
+    /// observed.
     pub fn membership(&self, addr: Ipv6Addr) -> Membership {
         self.shard_for(addr).membership_bits(u128::from(addr))
     }
@@ -683,21 +660,6 @@ impl Snapshot {
     /// Heap bytes the raw (uncompressed) representation would need.
     pub fn raw_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.raw_bytes() as u64).sum()
-    }
-
-    /// The week `addr` was first published, if it is in the hitlist.
-    pub fn first_week(&self, addr: Ipv6Addr) -> Option<u32> {
-        self.shard_for(addr).first_week_of(u128::from(addr))
-    }
-
-    /// Longest registered aliased prefix covering `addr`, if any.
-    pub fn longest_alias(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.shard_for(addr).longest_alias(addr)
-    }
-
-    /// True when `addr` falls under a registered aliased prefix.
-    pub fn is_aliased(&self, addr: Ipv6Addr) -> bool {
-        self.longest_alias(addr).is_some()
     }
 
     /// Number of published addresses inside `prefix`.
@@ -924,12 +886,13 @@ mod tests {
     fn membership_and_first_week() {
         let s = sample();
         assert_eq!(s.len(), 4);
-        assert!(s.contains(addr("2001:db8:1::1")));
-        assert!(!s.contains(addr("2001:db8:9::1")));
+        let week = |a: &str| crate::query::lookup_in(&s, addr(a), None).first_week;
+        assert!(s.membership(addr("2001:db8:1::1")).is_present());
+        assert!(!s.membership(addr("2001:db8:9::1")).is_present());
         // Duplicate re-publication in week 2 keeps the week-0 first-seen.
-        assert_eq!(s.first_week(addr("2001:db8:1::1")), Some(0));
-        assert_eq!(s.first_week(addr("2001:db8:3::1")), Some(2));
-        assert_eq!(s.first_week(addr("2001:db8:9::1")), None);
+        assert_eq!(week("2001:db8:1::1"), Some(0));
+        assert_eq!(week("2001:db8:3::1"), Some(2));
+        assert_eq!(week("2001:db8:9::1"), None);
         assert_eq!(s.week(), 2);
     }
 
@@ -985,7 +948,7 @@ mod tests {
         for i in 1000..1200u32 {
             let a = addr(&format!("2001:db8:{:x}::dead:{:x}", i % 7, i));
             assert!(!s.membership(a).is_present());
-            assert!(!s.contains(a));
+            assert!(s.shard_for(a).run().rank(u128::from(a)).is_none());
         }
         // Same content without the front: identical checksum and answers.
         let mut b2 = SnapshotBuilder::new("test", 4).with_bloom(false);
@@ -1014,16 +977,11 @@ mod tests {
         b.add_alias(pfx("2001:db8::/32"), 0);
         b.add_alias(pfx("2001:db8:2::/48"), 1);
         let s = b.build();
-        assert_eq!(
-            s.longest_alias(addr("2001:db8:2::1")),
-            Some(pfx("2001:db8:2::/48"))
-        );
-        assert_eq!(
-            s.longest_alias(addr("2001:db8:7::1")),
-            Some(pfx("2001:db8::/32"))
-        );
-        assert!(s.is_aliased(addr("2001:db8:ffff::1")));
-        assert!(!s.is_aliased(addr("2001:db9::1")));
+        let alias = |a: &str| s.shard_for(addr(a)).longest_alias(addr(a));
+        assert_eq!(alias("2001:db8:2::1"), Some(pfx("2001:db8:2::/48")));
+        assert_eq!(alias("2001:db8:7::1"), Some(pfx("2001:db8::/32")));
+        assert!(alias("2001:db8:ffff::1").is_some());
+        assert!(alias("2001:db9::1").is_none());
     }
 
     #[test]

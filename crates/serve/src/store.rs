@@ -355,7 +355,10 @@ mod tests {
         assert_eq!(receipt.epoch, 1);
         assert_eq!(receipt.addresses, 1);
         assert_eq!(store.epoch(), 1);
-        assert!(store.snapshot().contains(addr("2001:db8::1")));
+        assert!(store
+            .snapshot()
+            .membership(addr("2001:db8::1"))
+            .is_present());
         assert_eq!(store.metrics().publishes(), 1);
         // The receipt's stage times also land in the store registry.
         let text = store.metrics().render_text();
@@ -378,9 +381,12 @@ mod tests {
 
         // The old epoch stays fully usable after the swap.
         assert_eq!(held.epoch(), 1);
-        assert!(held.contains(addr("2001:db8::1")));
-        assert!(!held.contains(addr("2001:db8::2")));
-        assert!(store.snapshot().contains(addr("2001:db8::2")));
+        assert!(held.membership(addr("2001:db8::1")).is_present());
+        assert!(!held.membership(addr("2001:db8::2")).is_present());
+        assert!(store
+            .snapshot()
+            .membership(addr("2001:db8::2"))
+            .is_present());
     }
 
     #[test]
@@ -402,7 +408,10 @@ mod tests {
         b.add_address(addr("2001:db8::3"), 2);
         store.publish_as(b.build(), 3).unwrap();
         assert_eq!(store.epoch(), 6);
-        assert!(!store.snapshot().contains(addr("2001:db8::3")));
+        assert!(!store
+            .snapshot()
+            .membership(addr("2001:db8::3"))
+            .is_present());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::net::Ipv6Addr;
 use proptest::prelude::*;
 
 use v6addr::Prefix;
+use v6serve::query::lookup_in;
 use v6serve::{BlockedBloom, Membership, SnapshotBuilder};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
@@ -79,7 +80,7 @@ proptest! {
                 for (&bits, &week) in &oracle {
                     let a = Ipv6Addr::from(bits);
                     prop_assert!(snap.membership(a).is_present());
-                    prop_assert_eq!(snap.first_week(a), Some(week));
+                    prop_assert_eq!(lookup_in(&snap, a, None).first_week, Some(week));
                 }
                 for &bits in &probes {
                     let a = Ipv6Addr::from(bits);
@@ -88,7 +89,7 @@ proptest! {
                         oracle.contains_key(&bits)
                     );
                     prop_assert_eq!(
-                        snap.first_week(a),
+                        lookup_in(&snap, a, None).first_week,
                         oracle.get(&bits).copied()
                     );
                     let p48 = Prefix::of(a, 48);

@@ -197,6 +197,9 @@ fn ingest_pipeline_drives_a_persistent_store() {
     let (store, _) = HitlistStore::recover(cfg).unwrap();
     assert_eq!(store.epoch(), 3);
     assert_eq!(store.snapshot().content_checksum(), final_checksum);
-    assert!(store.snapshot().contains(addr("2001:db8:0::3")));
+    assert!(store
+        .snapshot()
+        .membership(addr("2001:db8:0::3"))
+        .is_present());
     std::fs::remove_dir_all(dir).ok();
 }

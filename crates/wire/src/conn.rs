@@ -22,7 +22,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use v6serve::{ServeStatus, Snapshot, StreamAnalytics};
+use v6serve::{query, ServeMetrics, Snapshot, StreamAnalytics};
 
 use crate::admit::AdmitDecision;
 use crate::frame::{check_preamble, frame, FrameDecoder, FrameError, PREAMBLE_LEN};
@@ -182,8 +182,14 @@ impl ServerConn {
                 return Response::Shed { reason };
             }
         };
+        let engine = self.server.engine();
         let started = Instant::now();
-        let resp = serve_request_with(snap, self.server.engine().analytics().map(|a| &**a), req);
+        let resp = serve_request_with(
+            snap,
+            engine.analytics().map(|a| &**a),
+            Some(engine.store().metrics()),
+            req,
+        );
         metrics.record_latency(class, started.elapsed());
         resp
     }
@@ -251,96 +257,50 @@ impl Drop for ServerConn {
 /// [`Response::Error`]; servers with streaming analytics use
 /// [`serve_request_with`].
 pub fn serve_request(snap: &Snapshot, req: Request) -> Response {
-    serve_request_with(snap, None, req)
+    serve_request_with(snap, None, None, req)
 }
 
-/// Answers one admitted request from `snap`, routing the windowed
-/// streaming-analytics requests ([`Request::MovedBetween`],
-/// [`Request::EntropyShift`]) to `analytics` when present.
+/// Answers one admitted request from `snap` through [`v6serve::query`],
+/// and the windowed requests ([`Request::MovedBetween`],
+/// [`Request::EntropyShift`]) from `analytics` when present. With
+/// `metrics`, it counts in the store's `serve.query.*`/`serve.bloom.*`.
 pub fn serve_request_with(
     snap: &Snapshot,
     analytics: Option<&StreamAnalytics>,
+    metrics: Option<&ServeMetrics>,
     req: Request,
 ) -> Response {
-    match req {
-        Request::MovedBetween { w0, w1 } => {
-            let Some(analytics) = analytics else {
-                return Response::Error {
-                    message: "streaming analytics not enabled on this server".to_string(),
-                };
-            };
-            let mut moves: Vec<WireMove> = analytics
-                .moved_between(w0, w1)
-                .into_iter()
-                .map(|m| WireMove {
-                    mac: m.mac,
-                    from_net: m.from_net,
-                    to_net: m.to_net,
-                    week: m.week,
-                })
-                .collect();
-            moves.truncate(MAX_MOVED_ROWS);
-            return Response::Moved {
-                epoch: analytics.epoch(),
-                lagging: analytics.is_lagging(),
-                moves,
-            };
-        }
-        Request::EntropyShift { as_index, w0, w1 } => {
-            let Some(analytics) = analytics else {
-                return Response::Error {
-                    message: "streaming analytics not enabled on this server".to_string(),
-                };
-            };
-            return Response::EntropyShift {
-                epoch: analytics.epoch(),
-                lagging: analytics.is_lagging(),
-                shift: analytics.entropy_shift(as_index, w0, w1),
-            };
-        }
-        _ => {}
-    }
+    let no_analytics = || Response::Error {
+        message: "streaming analytics not enabled on this server".to_string(),
+    };
     match req {
         Request::Ping => Response::Pong,
         Request::Membership { addr } => Response::Bool {
-            value: snap.membership(Ipv6Addr::from(addr)).is_present(),
+            value: query::membership_in(snap, addr.into(), metrics),
         },
-        Request::MembershipUnaliased { addr } => {
-            let a = Ipv6Addr::from(addr);
-            Response::Bool {
-                value: snap.membership(a).is_present() && !snap.is_aliased(a),
-            }
-        }
+        Request::MembershipUnaliased { addr } => Response::Bool {
+            value: query::unaliased_in(snap, addr.into(), metrics),
+        },
         Request::Lookup { addr } => Response::Lookup {
             epoch: snap.epoch(),
-            answer: lookup_in(snap, addr),
+            answer: query::lookup_in(snap, addr.into(), metrics).into(),
         },
         Request::Density { prefix } => Response::Count {
             epoch: snap.epoch(),
-            value: snap.count_within(&prefix),
+            value: query::count_within_in(snap, &prefix, metrics),
         },
         Request::NewSince { week } => Response::Count {
             epoch: snap.epoch(),
-            value: snap.new_since(week),
+            value: query::new_since_in(snap, week, metrics),
         },
         Request::Batch { addrs } => {
-            let mut present = 0u64;
-            let mut aliased = 0u64;
-            let answers: Vec<WireLookup> = addrs
-                .iter()
-                .map(|&a| {
-                    let ans = lookup_in(snap, a);
-                    present += u64::from(ans.present);
-                    aliased += u64::from(ans.alias.is_some());
-                    ans
-                })
-                .collect();
+            let batch = query::batch_in(snap, addrs.into_iter().map(Ipv6Addr::from), metrics);
             Response::Batch {
-                epoch: snap.epoch(),
+                epoch: batch.epoch,
                 missing_shards: snap.missing_shards().to_vec(),
-                answers,
-                present,
-                aliased,
+                answers: batch.answers.into_iter().map(WireLookup::from).collect(),
+                present: batch.present,
+                aliased: batch.aliased,
             }
         }
         Request::Status => Response::Status {
@@ -348,23 +308,35 @@ pub fn serve_request_with(
             week: snap.week(),
             len: snap.len(),
             shard_count: snap.shard_count() as u32,
-            missing_shards: match snap.status() {
-                ServeStatus::Ok => Vec::new(),
-                ServeStatus::Degraded { missing_shards } => missing_shards,
+            missing_shards: snap.missing_shards().to_vec(),
+        },
+        Request::MovedBetween { w0, w1 } => match analytics {
+            None => no_analytics(),
+            Some(a) => {
+                let moves = query::moved_between_in(a, w0, w1, metrics)
+                    .into_iter()
+                    .take(MAX_MOVED_ROWS)
+                    .map(|m| WireMove {
+                        mac: m.mac,
+                        from_net: m.from_net,
+                        to_net: m.to_net,
+                        week: m.week,
+                    })
+                    .collect();
+                Response::Moved {
+                    epoch: a.epoch(),
+                    lagging: a.is_lagging(),
+                    moves,
+                }
+            }
+        },
+        Request::EntropyShift { as_index, w0, w1 } => match analytics {
+            None => no_analytics(),
+            Some(a) => Response::EntropyShift {
+                epoch: a.epoch(),
+                lagging: a.is_lagging(),
+                shift: query::entropy_shift_in(a, as_index, w0, w1, metrics),
             },
         },
-        Request::MovedBetween { .. } | Request::EntropyShift { .. } => {
-            unreachable!("windowed requests answered before snapshot dispatch")
-        }
-    }
-}
-
-fn lookup_in(snap: &Snapshot, addr: u128) -> WireLookup {
-    let a = Ipv6Addr::from(addr);
-    WireLookup {
-        present: snap.contains(a),
-        first_week: snap.first_week(a),
-        alias: snap.longest_alias(a),
-        degraded: snap.shard_missing(a),
     }
 }

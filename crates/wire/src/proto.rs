@@ -131,6 +131,17 @@ pub struct WireLookup {
     pub degraded: bool,
 }
 
+impl From<v6serve::LookupAnswer> for WireLookup {
+    fn from(a: v6serve::LookupAnswer) -> Self {
+        WireLookup {
+            present: a.present,
+            first_week: a.first_week,
+            alias: a.alias,
+            degraded: a.degraded,
+        }
+    }
+}
+
 /// One device move inside a [`Response::Moved`] answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireMove {
